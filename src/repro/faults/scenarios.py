@@ -275,13 +275,10 @@ def run_chaos_campaign(
     warm_start: bool = False,
     memo: Optional["SegmentMemo"] = None,
 ):
-    """Run the standard chaos rotation, serially or across processes.
+    """Run the standard chaos rotation, inline or across ``workers`` processes.
 
-    ``workers <= 1`` is the serial :func:`build_chaos_runner` path;
-    ``workers > 1`` fans segments out via
-    :func:`repro.perf.parallel.run_campaign_parallel` with the same
-    retry protocol, so reports, checkpoints and obs totals are identical
-    for the same seed (the parallel determinism contract).
+    Either way it is one :func:`build_chaos_runner` run, so reports,
+    checkpoints and obs totals are identical for the same seed.
 
     ``warm_start`` boots the stock and CTA worlds once into shared-memory
     snapshots; every probabilistic/algorithm1 segment then attaches
@@ -289,8 +286,8 @@ def run_chaos_campaign(
     segment kwargs only — never in ``config`` — so checkpoint files stay
     byte-identical to cold runs.
 
-    ``memo`` threads a segment-result cache through either engine. The
-    chaos segments are cacheable even though they inject faults: each
+    ``memo`` threads a segment-result cache through the run. The chaos
+    segments are cacheable even though they inject faults: each
     installs its *own* plane seeded ``derive_seed(segment_seed,
     "faults")`` and always uninstalls it, so the whole fault schedule —
     down to the per-fault firing counts in the cached record — is a pure
@@ -311,39 +308,18 @@ def run_chaos_campaign(
             "algorithm1": snapshots[1].name,
         }
     try:
-        if workers <= 1:
-            runner = build_chaos_runner(
-                seed,
-                num_segments=num_segments,
-                policy=policy_value,
-                smoke=smoke,
-                checkpoint_path=checkpoint_path,
-                budget=budget,
-                snapshot_names=snapshot_names,
-                memo=memo,
-            )
-            return runner.run(resume=resume)
-        from repro.perf.parallel import run_campaign_parallel
-
-        kwargs: Dict[str, Any] = {"policy": policy_value, "smoke": bool(smoke)}
-        if snapshot_names is not None:
-            kwargs["snapshot_names"] = snapshot_names
-        return run_campaign_parallel(
-            name="chaos",
-            target="repro.faults.scenarios:run_chaos_segment",
+        runner = build_chaos_runner(
+            seed,
             num_segments=num_segments,
-            seed=seed,
-            kwargs=kwargs,
-            config={"policy": policy_value, "smoke": bool(smoke)},
-            workers=workers,
-            max_retries=2,
-            backoff_base_s=0.25,
-            retryable=(TransientFaultError, OutOfMemoryError),
+            policy=policy_value,
+            smoke=smoke,
             checkpoint_path=checkpoint_path,
             budget=budget,
-            resume=resume,
+            snapshot_names=snapshot_names,
             memo=memo,
+            workers=workers,
         )
+        return runner.run(resume=resume)
     finally:
         for snap in snapshots:
             snap.release()
@@ -357,35 +333,29 @@ def build_chaos_runner(
     checkpoint_path: Optional[str] = None,
     budget: Optional[CampaignBudget] = None,
     max_retries: int = 2,
-    sleep_fn: Optional[Any] = None,
     time_source: Optional[Any] = None,
     snapshot_names: Optional[Dict[str, str]] = None,
     memo: Optional["SegmentMemo"] = None,
+    workers: int = 1,
 ) -> CampaignRunner:
     """A :class:`CampaignRunner` over the standard chaos rotation."""
     policy_value = ExhaustionPolicy.coerce(policy).value
-
-    def segment_fn(index: int, segment_seed: int, attempt: int) -> Dict[str, Any]:
-        return run_chaos_segment(
-            index,
-            segment_seed,
-            policy=policy_value,
-            smoke=smoke,
-            snapshot_names=snapshot_names,
-        )
-
+    kwargs: Dict[str, Any] = {"policy": policy_value, "smoke": bool(smoke)}
+    if snapshot_names is not None:
+        kwargs["snapshot_names"] = snapshot_names
     return CampaignRunner(
         name="chaos",
-        segment_fn=segment_fn,
+        target="repro.faults.scenarios:run_chaos_segment",
         num_segments=num_segments,
         seed=seed,
+        kwargs=kwargs,
         config={"policy": policy_value, "smoke": bool(smoke)},
         budget=budget,
         checkpoint_path=checkpoint_path,
         max_retries=max_retries,
         backoff_base_s=0.25,
         retryable=(TransientFaultError, OutOfMemoryError),
-        sleep_fn=sleep_fn,
         time_source=time_source,
         memo=memo,
+        workers=workers,
     )

@@ -2,8 +2,8 @@
 
 A deterministic result cache for campaign segments: the key is the
 digest of everything a segment's result is a function of (config,
-snapshot shape, payload programs, derived seed, fault schedule, code
-version — see :mod:`repro.perf.memo.key`), the value is the canonical
+snapshot shape, payload programs, derived seed, fault schedule, source
+digest — see :mod:`repro.perf.memo.key`), the value is the canonical
 JSON of the full segment outcome (record + exported obs state), and the
 contract is strict byte-identity: a cache hit merges into reports,
 registries, and checkpoints exactly as recomputation would (sampled and
@@ -14,17 +14,17 @@ Stores are two-tier (:mod:`repro.perf.memo.store`): an in-process LRU
 with a byte budget, optionally backed by an append-only on-disk store
 with atomic temp-file/rename writes shared across workers, tenants, and
 process restarts. :class:`SegmentMemo` (:mod:`repro.perf.memo.runtime`)
-is the facade the serial runner, the parallel engine, the service tier,
+is the facade the campaign runner (inline or pooled), the service tier
 and the CLI all share.
 """
 
 from repro.perf.memo.key import (
-    CODE_VERSION,
     SegmentKey,
-    campaign_key,
     canonical_json,
+    code_version,
     digest_of,
     payload_key,
+    source_digest,
 )
 from repro.perf.memo.runtime import (
     SAFE_AMBIENT_EVENTS,
@@ -40,7 +40,6 @@ from repro.perf.memo.store import (
 )
 
 __all__ = [
-    "CODE_VERSION",
     "DEFAULT_MEMORY_BUDGET",
     "SAFE_AMBIENT_EVENTS",
     "SegmentKey",
@@ -50,8 +49,9 @@ __all__ = [
     "TieredMemoStore",
     "ambient_fault_digest",
     "build_memo",
-    "campaign_key",
     "canonical_json",
+    "code_version",
     "digest_of",
     "payload_key",
+    "source_digest",
 ]

@@ -20,24 +20,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass, field
+from functools import lru_cache
+from pathlib import Path
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.rng import derive_seed
 
 __all__ = [
-    "CODE_VERSION",
     "SegmentKey",
     "canonical_json",
+    "code_version",
     "digest_of",
     "payload_key",
-    "campaign_key",
+    "source_digest",
 ]
-
-#: Version salt mixed into every key. Bump when the serialized segment
-#: outcome shape (or any semantics the cached bytes depend on) changes:
-#: old entries then miss instead of replaying a stale contract.
-CODE_VERSION = "repro-memo-1"
 
 #: Segment kwargs whose *values* vary run-to-run without changing the
 #: result (shared-memory snapshot names are fresh every capture). Their
@@ -59,6 +56,33 @@ def digest_of(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def source_digest(package_dir: Path) -> str:
+    """sha256 over the relative path and bytes of every ``*.py`` under a package.
+
+    Any edit to the simulator's sources changes it, so a cache entry is
+    only ever replayed by the code that computed it.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(package_dir.rglob("*.py")):
+        digest.update(path.relative_to(package_dir).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+@lru_cache(maxsize=None)
+def code_version() -> str:
+    """The salt mixed into every key: :func:`source_digest` of ``repro``.
+
+    Computed once per process, on the first key built. Worker processes
+    read the same installed files, so they derive the same salt as their
+    parent; an entry written by other sources becomes a miss instead of
+    a stale replay.
+    """
+    return source_digest(Path(__file__).resolve().parents[2])
+
+
 @dataclass(frozen=True)
 class SegmentKey:
     """The content address of one segment result.
@@ -77,7 +101,7 @@ class SegmentKey:
     seed: int
     attempt: int
     fault_digest: str
-    code_version: str = CODE_VERSION
+    code_version: str = field(default_factory=code_version)
 
     def digest(self) -> str:
         """Hex store key: digest of the canonical JSON of all fields."""
@@ -153,16 +177,6 @@ def _split_kwargs(
     return stable, digest_of(payload_material) if payload_material else ""
 
 
-def _retryable_refs(retryable: Sequence[Any]) -> list:
-    refs = []
-    for exc_type in retryable:
-        if isinstance(exc_type, str):
-            refs.append(exc_type)
-        else:
-            refs.append(f"{exc_type.__module__}:{exc_type.__qualname__}")
-    return refs
-
-
 def payload_key(
     payload: Mapping[str, Any], fault_digest: str
 ) -> Optional[SegmentKey]:
@@ -197,51 +211,6 @@ def payload_key(
         snapshot_digest=snapshot_digest,
         payload_digest=payload_digest,
         seed=seed,
-        attempt=attempt,
-        fault_digest=fault_digest,
-    )
-
-
-def campaign_key(
-    *,
-    name: str,
-    config: Mapping[str, Any],
-    seed: int,
-    index: int,
-    max_retries: int,
-    retryable: Sequence[Type[BaseException]],
-    fault_digest: str,
-) -> Optional[SegmentKey]:
-    """Key for one serial :class:`~repro.faults.campaign.CampaignRunner`
-    segment.
-
-    The runner's ``segment_fn`` is an arbitrary closure, so the key
-    content-addresses the campaign *identity* instead: name, config
-    dict, retry taxonomy. Callers owe the contract that ``config``
-    captures everything the segment function's behaviour depends on —
-    true for every in-repo campaign builder, which derives the closure
-    from the config it passes.
-    """
-    if not _jsonable(config):
-        return None
-    config_digest = digest_of(
-        {
-            "kind": "campaign-runner",
-            "name": name,
-            "config": dict(config),
-            "max_retries": max_retries,
-            "retryable": _retryable_refs(retryable),
-        }
-    )
-    snapshot_digest = ""
-    payload_digest = ""
-    derived = derive_seed(seed, index, 0)
-    attempt = 0
-    return SegmentKey(
-        config_digest=config_digest,
-        snapshot_digest=snapshot_digest,
-        payload_digest=payload_digest,
-        seed=derived,
         attempt=attempt,
         fault_digest=fault_digest,
     )

@@ -1,7 +1,7 @@
 """The memoization runtime: fault-plane policy, lookup/store, verify.
 
-:class:`SegmentMemo` is the object campaign runners, the parallel
-engine, and the service supervisor share. It owns three decisions:
+:class:`SegmentMemo` is the object the campaign runner and the
+service supervisor share. It owns three decisions:
 
 - **whether a segment is cacheable at all** — via
   :func:`ambient_fault_digest`: an ambient fault plane whose injectors
@@ -31,17 +31,11 @@ uncached runs.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Type
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro import faults, obs
 from repro.errors import MemoIntegrityError
-from repro.perf.memo.key import (
-    SegmentKey,
-    campaign_key,
-    canonical_json,
-    digest_of,
-    payload_key,
-)
+from repro.perf.memo.key import SegmentKey, canonical_json, digest_of, payload_key
 from repro.perf.memo.store import (
     DEFAULT_MEMORY_BUDGET,
     DiskMemoStore,
@@ -147,30 +141,6 @@ class SegmentMemo:
             return None
         return payload_key(payload, digest)
 
-    def campaign_key(
-        self,
-        *,
-        name: str,
-        config: Mapping[str, Any],
-        seed: int,
-        index: int,
-        max_retries: int,
-        retryable: Sequence[Type[BaseException]],
-    ) -> Optional[SegmentKey]:
-        """Key for a serial-runner segment; ``None`` = bypass."""
-        digest = self.fault_digest()
-        if digest is None:
-            return None
-        return campaign_key(
-            name=name,
-            config=config,
-            seed=seed,
-            index=index,
-            max_retries=max_retries,
-            retryable=retryable,
-            fault_digest=digest,
-        )
-
     # -- accounting --------------------------------------------------------
     def note_bypass(self, campaign: str) -> None:
         """Count a segment that computed uncached (fault-plane bypass)."""
@@ -252,22 +222,6 @@ class SegmentMemo:
             self._record_bytes()
         roundtrip: Dict[str, Any] = json.loads(blob)
         return roundtrip
-
-    def run(
-        self,
-        key: Optional[SegmentKey],
-        *,
-        campaign: str,
-        compute: Callable[[], Dict[str, Any]],
-    ) -> Dict[str, Any]:
-        """Lookup-or-compute-and-store; handles ``key is None`` bypass."""
-        if key is None:
-            self.note_bypass(campaign)
-            return compute()
-        cached = self.lookup(key, campaign=campaign, recompute=compute)
-        if cached is not None:
-            return cached
-        return self.store(key, compute(), campaign=campaign)
 
 
 def build_memo(

@@ -4,13 +4,13 @@
 together: requests pass :class:`~repro.service.admission.AdmissionController`
 at the door, their segments are queued onto one shared
 :class:`~repro.service.supervisor.WorkerPool`, and completed outcomes
-merge back — obs deltas in segment-index order, records into the same
-completed/failed shapes — producing a
-:class:`~repro.faults.campaign.CampaignReport` **byte-identical** to
-what :func:`repro.perf.parallel.run_campaign_parallel` (or the serial
-:class:`~repro.faults.campaign.CampaignRunner`) yields for the same
-(name, target, num_segments, seed, kwargs, config) tuple, no matter how
-many workers crashed, hung, or snapshots got quarantined along the way.
+merge back. Below its admission and supervision policy the service runs
+the :class:`~repro.faults.campaign.CampaignRunner`'s own segment
+functions (payload builder, segment task, memo consult, merge), so its
+:class:`~repro.faults.campaign.CampaignReport` is **byte-identical** to
+a runner's for the same (name, target, num_segments, seed, kwargs,
+config) tuple, no matter how many workers crashed, hung, or snapshots
+got quarantined along the way.
 
 :func:`serve` exposes the service over the newline-delimited JSON
 protocol in :mod:`repro.service.protocol`; :func:`run_overload_demo`
@@ -23,12 +23,17 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro import faults, obs
 from repro.errors import AdmissionError, ReproError, ServiceError
-from repro.faults.campaign import CampaignReport
-from repro.perf.parallel import resolve_qualified
+from repro.faults.campaign import (
+    DEFAULT_RETRYABLE,
+    CampaignReport,
+    merge_outcomes,
+    resolve_qualified,
+    segment_payloads,
+)
 from repro.rng import DEFAULT_SEED, derive_seed
 from repro.service.admission import (
     AdmissionController,
@@ -52,11 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.perf.memo.runtime import SegmentMemo
 
 __all__ = ["CampaignService", "serve", "run_overload_demo"]
-
-#: Retryable taxonomy shipped to segment tasks — same default as the
-#: parallel engine, so reports stay comparable.
-_RETRYABLE_REFS = ["repro.errors:TransientFaultError"]
-
 
 class CampaignService:
     """One long-lived campaign service instance (see module docstring)."""
@@ -171,18 +171,15 @@ class CampaignService:
             name = self.library.acquire(key, lambda: factory(run_kwargs))
             if name is not None:
                 run_kwargs["snapshot"] = name
-        payloads = [
-            {
-                "target": request.target,
-                "retryable": list(_RETRYABLE_REFS),
-                "index": index,
-                "name": request.name,
-                "seed": request.seed,
-                "max_retries": request.max_retries,
-                "kwargs": dict(run_kwargs),
-            }
-            for index in range(request.num_segments)
-        ]
+        payloads = segment_payloads(
+            name=request.name,
+            target=request.target,
+            seed=request.seed,
+            kwargs=run_kwargs,
+            max_retries=request.max_retries,
+            retryable=DEFAULT_RETRYABLE,
+            indices=range(request.num_segments),
+        )
         return SegmentJob(
             request,
             payloads,
@@ -193,29 +190,14 @@ class CampaignService:
 
     def _merge(self, request: CampaignRequest, job: SegmentJob) -> CampaignReport:
         """Fold outcomes into the registry and report, serial-identically."""
-        registry = obs.get_registry()
-        completed: Dict[int, Dict[str, Any]] = {}
-        failed: Dict[int, Dict[str, Any]] = {}
-        for index in sorted(job.outcomes):
-            outcome = job.outcomes[index]
-            registry.merge_state(outcome["obs_state"])
-            if outcome["ok"]:
-                completed[index] = outcome["record"]
-                obs.inc("campaign.segments", campaign=request.name, status="completed")
-            else:
-                failed[index] = outcome["record"]
-                obs.inc("campaign.segments", campaign=request.name, status="failed")
-        interrupted = (len(completed) + len(failed)) < request.num_segments
-        return CampaignReport(
+        report = CampaignReport(
             name=request.name,
             seed=request.seed,
             num_segments=request.num_segments,
             config=dict(request.config),
             backoff_base_s=self.backoff_base_s,
-            completed=completed,
-            failed=failed,
-            interrupted=interrupted,
         )
+        return merge_outcomes(report, job.outcomes.values())
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> Dict[str, Any]:

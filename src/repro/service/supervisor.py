@@ -20,7 +20,7 @@ into the identical outcome an uninterrupted run records.
 Execution modes:
 
 - ``inline`` (default) — segments run synchronously in the event loop
-  via :func:`repro.perf.parallel.run_segment_task`. Fully deterministic;
+  via :func:`repro.faults.campaign.run_segment_task`. Fully deterministic;
   crashes and hangs exist only as injected faults. This is what tests
   and the CI smoke job drive.
 - ``process`` — segments run in a :class:`ProcessPoolExecutor`;
@@ -40,7 +40,6 @@ import asyncio
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Coroutine, Dict, List, Optional, Tuple
 
 from repro import faults, obs
@@ -51,7 +50,7 @@ from repro.errors import (
     WorkerCrashError,
     WorkerHangError,
 )
-from repro.perf.parallel import crashed_segment_outcome, run_segment_task
+from repro.faults.campaign import consult_memo, failed_outcome, run_segment_task
 from repro.service.admission import AdmissionTicket
 from repro.service.protocol import CampaignRequest
 from repro.service.snapshot_library import SnapshotLibrary
@@ -323,38 +322,17 @@ class WorkerPool:
                 campaign=job.request.name,
                 worker=worker_id,
             )
-            outcome = None
-            memo_key = None
-            if self.memo is not None:
-                memo_key = self.memo.payload_key(payload)
-                if memo_key is None:
-                    self.memo.note_bypass(job.request.name)
-                else:
-                    outcome = self.memo.lookup(
-                        memo_key,
-                        campaign=job.request.name,
-                        recompute=partial(run_segment_task, payload),
-                    )
+            memo = self.memo
+            key, outcome = (None, None) if memo is None else consult_memo(memo, payload)
             if outcome is None:
                 outcome = await self._execute(payload)
-                if memo_key is not None and self.memo is not None:
-                    outcome = self.memo.store(
-                        memo_key, outcome, campaign=job.request.name
-                    )
+                if memo is not None and key is not None:
+                    outcome = memo.store(key, outcome, campaign=job.request.name)
         except WorkerCrashError as exc:  # WorkerHangError included
             self._requeue_lost(job, payload, exc)
             raise
         except Exception as exc:  # noqa: BLE001 — server must survive targets
-            outcome = {
-                "index": payload["index"],
-                "ok": False,
-                "record": {
-                    "attempts": 1,
-                    "error": str(exc),
-                    "error_type": type(exc).__name__,
-                },
-                "obs_state": obs.Registry().export_state(),
-            }
+            outcome = failed_outcome(payload["index"], exc)
         job.record(outcome)
 
     async def _execute(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -407,10 +385,12 @@ class WorkerPool:
         job.requeues[index] = job.requeues.get(index, 0) + 1
         if job.requeues[index] > self.max_requeues:
             job.record(
-                crashed_segment_outcome(
+                failed_outcome(
                     index,
-                    f"worker died running segment {index} "
-                    f"({self.max_requeues} re-enqueues exhausted): {exc}",
+                    WorkerCrashError(
+                        f"worker died running segment {index} "
+                        f"({self.max_requeues} re-enqueues exhausted): {exc}"
+                    ),
                 )
             )
         else:

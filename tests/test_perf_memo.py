@@ -7,10 +7,16 @@ integrity verification must catch a tampered entry.
 """
 
 import asyncio
+import dataclasses
 import json
+import multiprocessing
+import shutil
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import faults, obs
 from repro.errors import AdmissionError, ConfigurationError, MemoIntegrityError
 from repro.perf.memo import (
@@ -22,6 +28,8 @@ from repro.perf.memo import (
     ambient_fault_digest,
     build_memo,
     canonical_json,
+    code_version,
+    source_digest,
 )
 from repro.perf.parallel import run_campaign_parallel, run_probabilistic_trials
 from repro.service import CampaignRequest, CampaignService
@@ -92,6 +100,36 @@ class TestSegmentKey:
         assert _key(config_digest="d" * 64).digest() != base
         assert _key(snapshot_digest="s" * 64).digest() != base
         assert _key(payload_digest="p" * 64).digest() != base
+
+
+class TestSourceSalt:
+    def test_one_changed_source_byte_turns_old_entries_into_misses(self, tmp_path):
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).resolve().parent,
+            copy,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        assert source_digest(copy) == code_version()
+        module = copy / "dram" / "rowhammer.py"
+        data = bytearray(module.read_bytes())
+        data[-1] ^= 1
+        module.write_bytes(bytes(data))
+        other = source_digest(copy)
+        assert other != code_version()
+        # An entry written by the other sources is never replayed here.
+        memo = SegmentMemo()
+        outcome = {"index": 0, "ok": True, "record": {}, "obs_state": {}}
+        memo.store(dataclasses.replace(_key(), code_version=other), outcome, campaign="x")
+        assert memo.lookup(_key(), campaign="x") is None
+        assert memo.lookup(
+            dataclasses.replace(_key(), code_version=other), campaign="x"
+        ) == outcome
+
+    def test_worker_process_derives_the_parent_salt(self):
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            assert pool.submit(code_version).result(timeout=120) == code_version()
 
 
 class TestAmbientFaultPolicy:
@@ -390,6 +428,26 @@ class TestPooledWorkers:
         )
         assert warm == reference
         assert (warm_memo.hits, warm_memo.misses) == (3, 0)
+
+    def test_inline_run_entries_hit_in_a_pooled_run(self, tmp_path):
+        """Inline and pooled runs key segments the same way, so a pooled
+        run over an inline run's memo directory computes nothing."""
+
+        def run(workers):
+            memo = build_memo(str(tmp_path))
+            report, _ = _isolated(
+                lambda: run_probabilistic_trials(
+                    2, seed=99, workers=workers, spray_mappings=8, max_rounds=1,
+                    memo=memo,
+                ).to_dict()
+            )
+            return json.dumps(report, sort_keys=True), memo
+
+        inline, inline_memo = run(1)
+        assert (inline_memo.misses, inline_memo.stores) == (2, 2)
+        pooled, pooled_memo = run(2)
+        assert (pooled_memo.hits, pooled_memo.misses) == (2, 0)
+        assert pooled == inline
 
     def test_failed_outcomes_are_not_cached(self):
         memo = SegmentMemo()
