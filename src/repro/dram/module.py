@@ -154,6 +154,11 @@ class DramModule:
             if backing is None:
                 return bytes([self._fill_byte]) * length
             return backing[offset : offset + length].tobytes()
+        return self._read_straddling(address, length)
+
+    def _read_straddling(self, address: int, length: int) -> bytes:
+        """Uncounted, unhooked read of a span that may cross rows."""
+        row_bytes = self._geometry.row_bytes
         out = bytearray(length)
         cursor = 0
         while cursor < length:
@@ -172,25 +177,33 @@ class DramModule:
     def read_many(self, addresses: "np.ndarray", length: int) -> List[bytes]:
         """One ``length``-byte read per physical address, in order.
 
-        Equivalent to calling :meth:`read` per address (same results and
-        ``read_count`` accounting); the per-call overhead — bounds check,
-        fault probe, row arithmetic — is paid once for the batch instead.
-        Falls back to the scalar loop when the fault plane is armed (each
-        read must probe the schedule individually) or any address is out
-        of bounds (the scalar loop raises at the right element with the
-        right prior counts).
+        Equivalent to calling :meth:`read` per address: same results,
+        ``read_count`` accounting and ``dram.read`` fault schedule. The
+        per-call overhead — bounds check, fault probe, row arithmetic —
+        is paid once per firing-free run instead: the batch is offered
+        to the fault plane (:func:`repro.faults.fault_free_runs`) and a
+        read at which an injector fires goes through :meth:`read`
+        itself. Falls back to the scalar loop when any address is out of
+        bounds (it raises at the right element with the right prior
+        counts).
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         n = int(addrs.size)
         total = self._geometry.total_bytes
-        if (
-            self.fault_plane_armed
-            or n == 0
-            or bool(np.any(addrs < 0))
-            or bool(np.any(addrs + length > total))
-        ):
+        if bool(np.any(addrs < 0)) or bool(np.any(addrs + length > total)):
             return [self.read(int(address), length) for address in addrs]
-        self.read_count += n
+        out: List[bytes] = []
+        for start, stop in faults.fault_free_runs(
+            "dram.read", n, module=self, length=length
+        ):
+            out.extend(self._gather(addrs[start:stop], length))
+            if stop < n:
+                out.append(self.read(int(addrs[stop]), length))
+        return out
+
+    def _gather(self, addrs: np.ndarray, length: int) -> List[bytes]:
+        """Counted, unhooked reads of in-bounds addresses."""
+        self.read_count += int(addrs.size)
         row_bytes = self._geometry.row_bytes
         rows = addrs // row_bytes
         offsets = addrs - rows * row_bytes
@@ -204,10 +217,8 @@ class DramModule:
                     fill if backing is None else
                     backing[offset : offset + length].tobytes()
                 )
-                continue
-            # Row-straddling read: reuse the chunking path uncounted.
-            self.read_count -= 1
-            out.append(self.read(row * row_bytes + offset, length))
+            else:
+                out.append(self._read_straddling(row * row_bytes + offset, length))
         return out
 
     def write(self, address: int, data: bytes) -> None:
@@ -281,20 +292,17 @@ class DramModule:
         byte repeated) and read-only snapshot rows are viewed in place
         rather than copy-on-write promoted, so walking page tables of a
         multi-GB module keeps memory proportional to resident data.
-        Counts one read per address, like a :meth:`read_u64` loop would.
-        Falls back to that scalar loop when the fault plane is armed
-        (per-read fault schedules must see every access) or any address
-        is unaligned or out of bounds (the scalar loop raises at the
+        Equivalent to a :meth:`read_u64` loop: one read counted per
+        address, and the same ``dram.read`` fault schedule (the batch is
+        offered like :meth:`read_many`'s, a firing read goes through
+        :meth:`read_u64`). Falls back to that scalar loop when any
+        address is unaligned or out of bounds (the loop raises at the
         right element with the right prior counts).
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         n = int(addrs.size)
-        if n == 0:
-            return np.zeros(0, dtype=np.uint64)
-        row_bytes = self._geometry.row_bytes
         if (
-            self.fault_plane_armed
-            or row_bytes % 8
+            self._geometry.row_bytes % 8
             or bool(np.any(addrs < 0))
             or bool(np.any(addrs + 8 > self._geometry.total_bytes))
             or bool(np.any(addrs & 7))
@@ -303,10 +311,25 @@ class DramModule:
                 [self.read_u64(int(address)) for address in addrs],
                 dtype=np.uint64,
             )
+        out = np.empty(n, dtype=np.uint64)
+        for start, stop in faults.fault_free_runs(
+            "dram.read", n, module=self, length=8
+        ):
+            out[start:stop] = self._gather_u64(addrs[start:stop])
+            if stop < n:
+                out[stop] = self.read_u64(int(addrs[stop]))
+        return out
+
+    def _gather_u64(self, addrs: np.ndarray) -> np.ndarray:
+        """Counted, unhooked word gather of aligned in-bounds addresses."""
+        n = int(addrs.size)
+        out = np.empty(n, dtype=np.uint64)
+        if n == 0:
+            return out
         self.read_count += n
+        row_bytes = self._geometry.row_bytes
         rows = addrs // row_bytes
         word_idx = (addrs - rows * row_bytes) >> 3
-        out = np.empty(n, dtype=np.uint64)
         fill_word = np.uint64(
             int.from_bytes(bytes([self._fill_byte]) * 8, "little")
         )
@@ -389,10 +412,10 @@ class DramModule:
 
         ``positions`` are row-relative bit indices (``byte*8 + bit``).
         Returns a uint8 array of 0/1 values aligned with ``positions``.
-        Counts as one read. Unlike :meth:`read_bit` this does not offer a
-        ``dram.read`` event to the fault plane — hammer hot paths fall
-        back to the scalar primitives when the plane is armed precisely so
-        fault schedules stay bit-identical (see ``RowHammerModel``).
+        Counts as one read. Unlike :meth:`read_bit` this offers no
+        ``dram.read`` event to the fault plane: a caller that stands for
+        per-bit reads offers them itself, as one batch, and performs a
+        firing read through :meth:`read_bit` (see ``RowHammerModel``).
         """
         positions = np.ascontiguousarray(positions, dtype=np.int64)
         self._check_row_positions(row, positions)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs, sanitize
+from repro import faults, obs, sanitize
 from repro.dram.cells import CellType
 from repro.dram.module import DramModule
 from repro.errors import ConfigurationError
@@ -130,10 +130,12 @@ class RowHammerModel:
         (fewer activations fit in a refresh window). The paper notes even
         high rates give no guarantee — the model keeps probability > 0.
     slow_reference:
-        Force the legacy scalar per-bit disturb path. The vectorized path
-        consumes the RNG stream identically, so both produce bit-identical
-        outcomes for the same seed — equivalence tests and ``repro bench``
-        rely on this flag for the reference side.
+        Run the scalar per-bit disturb, a test oracle only: it is never
+        selected otherwise, an armed fault plane included. The vectorized
+        path consumes the RNG stream and offers ``dram.read`` fault events
+        identically, so both produce bit-identical outcomes and fault
+        schedules for the same seed — equivalence tests and ``repro
+        bench`` rely on this flag for the reference side.
     """
 
     def __init__(
@@ -293,10 +295,7 @@ class RowHammerModel:
         outcome = HammerOutcome(
             aggressor_row=aggressor_row, victim_rows=victims, activations=activations
         )
-        # An armed fault plane needs the per-access dram.read hooks of the
-        # scalar primitives so injector schedules replay identically; the
-        # vectorized path runs only when chaos is off.
-        if self._slow_reference or self._module.fault_plane_armed:
+        if self._slow_reference:
             self._disturb_scalar(outcome, victims)
         else:
             self._disturb_vectorized(outcome, victims)
@@ -312,7 +311,7 @@ class RowHammerModel:
         return outcome
 
     def _disturb_scalar(self, outcome: HammerOutcome, victims: Tuple[int, ...]) -> None:
-        """Legacy per-bit reference path (fault-plane hooks fire per access)."""
+        """Per-bit reference oracle (one ``dram.read`` hook per access)."""
         row_bytes = self._module.geometry.row_bytes
         for victim in victims:
             base = victim * row_bytes
@@ -342,39 +341,128 @@ class RowHammerModel:
 
         Consumes the RNG stream exactly like :meth:`_disturb_scalar` (one
         uniform draw per vulnerable bit, in bit-position order, only when
-        ``activation_probability < 1``) so outcomes are bit-identical.
+        ``activation_probability < 1``) and, under an armed fault plane,
+        offers it the same ``dram.read`` events (see
+        :meth:`_offer_row_reads`), so outcomes and fault schedules are
+        bit-identical.
         """
         module = self._module
-        row_bytes = module.geometry.row_bytes
         probability = self._activation_probability
         flip_totals: Dict[Tuple[str, str], int] = {}
         for victim in victims:
-            positions, from_values, to_values = self._vulnerable_row_arrays(victim)
+            arrays = self._vulnerable_row_arrays(victim)
+            positions, from_values, _ = arrays
             if positions.size == 0:
                 continue
-            current = module.read_bits(victim, positions)
-            flip_mask = current == from_values
+            flip_mask = module.read_bits(victim, positions) == from_values
+            armed = module.fault_plane_armed
+            active: Optional[np.ndarray] = None
+            undo = None
             if probability < 1.0:
-                flip_mask &= self._rng.random(positions.size) < probability
-            if not flip_mask.any():
-                continue
-            flip_positions = positions[flip_mask]
-            flip_targets = to_values[flip_mask]
-            module.apply_bit_flips(victim, flip_positions, flip_targets)
-            base = victim * row_bytes
-            cell = module.cell_map.type_of_row(victim).value
-            addresses = (base + (flip_positions >> 3)).tolist()
-            bits = (flip_positions & 7).tolist()
-            old_values = from_values[flip_mask].tolist()
-            new_values = flip_targets.tolist()
-            for address, bit, old, new in zip(addresses, bits, old_values, new_values):
-                outcome.flips.append(BitFlip(address=address, bit=bit, old=old, new=new))
-                key = (f"{old}to{new}", cell)
-                flip_totals[key] = flip_totals.get(key, 0) + 1
-        # One aggregated obs update per (direction, cell) series instead of
-        # one inc per flip; totals match the scalar path exactly.
+                if armed:
+                    undo = self._rng.bit_generator.state
+                active = self._rng.random(positions.size) < probability
+                flip_mask &= active
+            if armed:
+                self._offer_row_reads(
+                    outcome, victim, arrays, flip_mask, active, undo, flip_totals
+                )
+            self._apply_flips(outcome, victim, arrays, flip_mask, flip_totals)
+        self._count_flips(flip_totals)
+
+    def _offer_row_reads(
+        self,
+        outcome: HammerOutcome,
+        victim: int,
+        arrays: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        flip_mask: np.ndarray,
+        active: Optional[np.ndarray],
+        undo: object,
+        flip_totals: Dict[Tuple[str, str], int],
+    ) -> None:
+        """Offer a victim row's per-bit reads to the armed plane as one batch.
+
+        The scalar path reads every activated bit (all of them when
+        ``active`` is None), in bit order, each read a ``dram.read``
+        event. At an event where an injector fires, the flips before it
+        are applied (and cleared from ``flip_mask``) and counted, then the
+        read is performed as the scalar path performs it
+        (:meth:`_read_firing_bit`). ``undo`` is the hammer stream's state
+        before the row's activation draw.
+        """
+        positions = arrays[0]
+        if active is None:
+            activated = np.arange(positions.size)
+        else:
+            activated = np.flatnonzero(active)
+        count = int(activated.size)
+        for _, stop in faults.fault_free_runs("dram.read", count, module=self._module):
+            if stop == count:
+                break
+            hit = int(activated[stop])
+            before = flip_mask.copy()
+            before[hit:] = False
+            self._apply_flips(outcome, victim, arrays, before, flip_totals)
+            flip_mask[:hit] = False
+            self._count_flips(flip_totals)
+            self._read_firing_bit(victim, int(positions[hit]), undo, hit + 1)
+
+    def _read_firing_bit(
+        self, victim: int, position: int, undo: object, draws: int
+    ) -> None:
+        """Perform a ``dram.read`` at which an injector fires, as the scalar path does.
+
+        Goes through ``module.read_bit``, so the firing is counted, traced
+        and raised exactly like a scalar access (with the host address
+        under a guest window). On a raise the hammer stream is rewound to
+        ``undo`` plus the ``draws`` the scalar loop had made by then.
+        """
+        module = self._module
+        byte_index, bit = divmod(position, 8)
+        try:
+            module.read_bit(victim * module.geometry.row_bytes + byte_index, bit)
+        except Exception:
+            if undo is not None:
+                self._rng.bit_generator.state = undo
+                self._rng.random(draws)
+            raise
+
+    def _apply_flips(
+        self,
+        outcome: HammerOutcome,
+        victim: int,
+        arrays: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        flip_mask: np.ndarray,
+        flip_totals: Dict[Tuple[str, str], int],
+    ) -> None:
+        """Flip the masked bits of ``victim``; record them and tally counts."""
+        if not flip_mask.any():
+            return
+        positions, from_values, to_values = arrays
+        module = self._module
+        flip_positions = positions[flip_mask]
+        flip_targets = to_values[flip_mask]
+        module.apply_bit_flips(victim, flip_positions, flip_targets)
+        base = victim * module.geometry.row_bytes
+        cell = module.cell_map.type_of_row(victim).value
+        addresses = (base + (flip_positions >> 3)).tolist()
+        bits = (flip_positions & 7).tolist()
+        old_values = from_values[flip_mask].tolist()
+        new_values = flip_targets.tolist()
+        for address, bit, old, new in zip(addresses, bits, old_values, new_values):
+            outcome.flips.append(BitFlip(address=address, bit=bit, old=old, new=new))
+            key = (f"{old}to{new}", cell)
+            flip_totals[key] = flip_totals.get(key, 0) + 1
+
+    @staticmethod
+    def _count_flips(flip_totals: Dict[Tuple[str, str], int]) -> None:
+        """Flush tallied flips: one obs update per (direction, cell) series.
+
+        Totals match the scalar path's one inc per flip exactly.
+        """
         for (direction, cell), count in sorted(flip_totals.items()):
             obs.inc("rowhammer.flips", count, direction=direction, cell=cell)  # repro-lint: ignore[RL007] — aggregated
+        flip_totals.clear()
 
     # -- statistics helpers ---------------------------------------------------
     def expected_flips_per_row(self, cell_type: CellType, stored_value: int) -> float:

@@ -28,6 +28,19 @@ Hook events reaching the plane:
   worker crashes, hangs, and snapshot corruption replay from a seed):
   ``service.segment``, ``service.snapshot_attach``.
 
+Batches: a vectorized primitive that stands for N consecutive
+``dram.read`` accesses offers them as one batch through
+:func:`fault_free_runs` (:meth:`FaultPlane.offer`) instead of N
+:func:`notify` calls. Each subscribed injector draws its schedule for the
+batch as one ``random(n)`` vector — the same stream n scalar draws
+would give — honouring ``start_after``, ``max_fires`` and registration
+order. The batch stops at the first event at which any injector fires;
+every schedule is left where that many scalar calls would leave it,
+and the caller performs the firing event itself through the scalar
+primitive, so the firing is counted, traced and raised exactly as an
+unbatched access's would be. A plane with no subscriber to the event
+passes the whole batch without a draw.
+
 Usage::
 
     from repro import faults
@@ -49,7 +62,7 @@ entropy out of this package.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro import obs
 from repro.faults.injectors import (
@@ -74,6 +87,7 @@ __all__ = [
     "armed",
     "epoch",
     "notify",
+    "fault_free_runs",
     "install",
     "uninstall",
 ]
@@ -178,6 +192,31 @@ class FaultPlane:
             self._in_dispatch = False
         return suppress
 
+    def offer(self, event: str, count: int, ctx: Mapping[str, object]) -> int:
+        """Offer ``count`` consecutive ``event`` events as one batch.
+
+        Returns how many of them pass before the first one at which any
+        subscribed injector fires (``count`` when none does). Those events
+        are consumed exactly as ``count`` :meth:`dispatch` calls without a
+        firing would consume them; the firing event itself is left
+        unconsumed, for the caller to perform through its ordinary
+        (dispatching) path. ``ctx`` is the batch's shared context, which
+        ``matches`` sees once per injector.
+        """
+        if self._in_dispatch:
+            return count
+        scans = []
+        first = count
+        for injector in self._by_event.get(event, ()):
+            if not injector.matches(event, ctx):
+                continue
+            index, undo = injector.scan(first)
+            scans.append((injector, first, undo))
+            first = min(first, index)
+        for injector, scanned, undo in scans:
+            injector.settle(first, scanned, undo)
+        return first
+
     def schedule_token(self) -> Optional[Dict[str, object]]:
         """JSON-able identity of this plane's injected-fault schedule.
 
@@ -278,6 +317,27 @@ def notify(event: str, **ctx: object) -> bool:
     if not plane._armed:
         return False
     return plane.dispatch(event, ctx)
+
+
+def fault_free_runs(event: str, count: int, **ctx: object) -> Iterator[Tuple[int, int]]:
+    """Split ``count`` consecutive ``event`` events into firing-free runs.
+
+    Yields ``(start, stop)``: events ``[start, stop)`` fire no injector
+    and are already consumed. When ``stop < count``, some injector fires
+    at event ``stop``; the caller must perform that event through its
+    ordinary :func:`notify` path (which fires, counts, traces and maybe
+    raises) before asking for the next run. A disarmed plane yields one
+    run covering every event.
+    """
+    start = 0
+    while start < count:
+        plane = _default_plane
+        if plane._armed:
+            stop = start + plane.offer(event, count - start, ctx)
+        else:
+            stop = count
+        yield start, stop
+        start = stop + 1
 
 
 def install(

@@ -50,7 +50,9 @@ documents in the README.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Type
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
+
+import numpy as np
 
 from repro.errors import (
     ConfigurationError,
@@ -198,6 +200,38 @@ class FaultInjector:
         if self._seen <= self.spec.start_after or self.exhausted():
             return False
         return bernoulli(self._rng, self.spec.probability)
+
+    def scan(self, count: int) -> Tuple[int, Any]:
+        """Draw the schedule of the next ``count`` matched events at once.
+
+        Returns ``(index, undo)``: ``index`` is the first of those events
+        that would fire (``count`` when none does) and ``undo`` the rng
+        state before the draw (``None`` when nothing was drawn). One
+        ``random(n)`` draw yields the stream ``n`` scalar draws would, so
+        the schedule is the one :meth:`should_fire` produces. Nothing is
+        final until :meth:`settle`.
+        """
+        quiet = max(0, self.spec.start_after - self._seen)
+        if quiet >= count or self.exhausted():
+            return count, None
+        undo = self._rng.bit_generator.state
+        hits = np.flatnonzero(
+            bernoulli(self._rng, self.spec.probability, size=count - quiet)
+        )
+        return (quiet + int(hits[0]) if hits.size else count), undo
+
+    def settle(self, consumed: int, scanned: int, undo: Any) -> None:
+        """Close a :meth:`scan` of ``scanned`` events of which ``consumed`` passed.
+
+        Leaves the schedule exactly where ``consumed`` non-firing
+        :meth:`should_fire` calls would: draws past the consumed events
+        are rewound (restore, then redraw the kept prefix).
+        """
+        if undo is not None and consumed < scanned:
+            quiet = max(0, self.spec.start_after - self._seen)
+            self._rng.bit_generator.state = undo
+            self._rng.random(max(0, consumed - quiet))
+        self._seen += consumed
 
     def fire(self, event: str, ctx: Mapping[str, object]) -> bool:
         """Inject the fault; returns True to suppress the operation."""

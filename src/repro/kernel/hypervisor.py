@@ -19,7 +19,7 @@ real cell types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, TypeVar
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from repro.errors import CapacityError, ConfigurationError, ZoneViolationError
 from repro.kernel.cta import CtaConfig, CtaPolicy
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.units import PAGE_SHIFT
+
+T = TypeVar("T")
 
 
 class GuestPhysicalWindow(DramModule):
@@ -157,6 +159,71 @@ class GuestPhysicalWindow(DramModule):
         """Batched bit write via the host row."""
         self.write_count += 1
         return self._host.apply_bit_flips(self._host_row(row), positions, targets)
+
+    def _host_addresses(self, addresses: np.ndarray) -> np.ndarray:
+        """:meth:`host_address` of each in-window guest address."""
+        return np.where(
+            addresses < self._data_size,
+            self._data_base + addresses,
+            self._ptp_base + (addresses - self._data_size),
+        )
+
+    def _in_window(self, addresses: np.ndarray, length: int) -> bool:
+        return not (
+            bool(np.any(addresses < 0))
+            or bool(np.any(addresses + length > self.geometry.total_bytes))
+        )
+
+    def _counted_reads(self, count: int, batch: Callable[[], T]) -> T:
+        """Run a batched host read, counting guest reads like a :meth:`read` loop.
+
+        The loop counts each read before the host performs it, so a read
+        the host aborts (an injected fault) is counted too.
+        """
+        before = self._host.read_count
+        try:
+            result = batch()
+        except Exception:
+            self.read_count += self._host.read_count - before + 1
+            raise
+        self.read_count += count
+        return result
+
+    def read_many(self, addresses, length: int) -> List[bytes]:
+        """Batched reads via the host (same results as a :meth:`read` loop)."""
+        addrs = np.asarray(addresses, dtype=np.int64)
+        if not self._in_window(addrs, length):
+            return [self.read(int(address), length) for address in addrs]
+        host_addrs = self._host_addresses(addrs)
+        return self._counted_reads(
+            int(addrs.size), lambda: self._host.read_many(host_addrs, length)
+        )
+
+    def read_u64_many(self, addresses) -> np.ndarray:
+        """Batched word reads via the host (same as a :meth:`read_u64` loop)."""
+        addrs = np.asarray(addresses, dtype=np.int64)
+        if not self._in_window(addrs, 8):
+            return np.array(
+                [self.read_u64(int(address)) for address in addrs], dtype=np.uint64
+            )
+        host_addrs = self._host_addresses(addrs)
+        return self._counted_reads(
+            int(addrs.size), lambda: self._host.read_u64_many(host_addrs)
+        )
+
+    def write_many(self, addresses, data: bytes) -> None:
+        """Batched writes via the host (same as a :meth:`write` loop)."""
+        addrs = np.asarray(addresses, dtype=np.int64)
+        if not self._in_window(addrs, len(data)):
+            for address in addrs:
+                self.write(int(address), data)
+            return
+        self.write_count += int(addrs.size)
+        self._host.write_many(self._host_addresses(addrs), data)
+
+    def snapshot_row(self, row: int) -> np.ndarray:
+        """Copy of the backing host row's content."""
+        return self._host.snapshot_row(self._host_row(row))
 
     def row_u64_view(self, row: int) -> "np.ndarray":
         """u64 alias of the backing host row."""

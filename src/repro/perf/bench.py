@@ -1,7 +1,8 @@
 """Hot-path microbenchmarks behind ``repro bench``.
 
-Three cases, each timed against a same-seed reference so the reported
-speedups are apples-to-apples on the *same machine in the same run*:
+Cases with a scalar twin are timed against a same-seed reference so the
+reported speedups are apples-to-apples on the *same machine in the same
+run*:
 
 ``hammer_heavy``
     A burst of double-/single-sided hammers through the vectorized
@@ -53,12 +54,20 @@ speedups are apples-to-apples on the *same machine in the same run*:
 ``snapshot_warm_start``
     Per-segment setup cost: cold boot + spray vs attaching
     copy-on-write to a :class:`~repro.perf.snapshot.SimulatorSnapshot`.
+``chaos_smoke``
+    The default ``repro chaos --smoke`` rotation end to end (seed 1, 3
+    segments under ``--quick``). Every segment runs under an armed
+    fault plane, so this times the vectorized disturb with batched
+    ``dram.read`` fault offers; a fall back to the per-bit scalar
+    disturb is ~9x slower and fails the baseline gate. Seed 1 fires
+    ``dram-read-error`` mid-hammer and retries segment 0, which the
+    case asserts, so a firing inside a batch is always on the timed path.
 
 ``run_bench_suite`` returns a JSON-ready report; ``write_bench_report``
 persists it (``BENCH_hotpath.json``) atomically via a temp file +
 ``os.replace`` so a crashed bench never leaves a truncated report, and
 ``check_baseline`` compares ops/s against a committed baseline with a
-regression factor — CI fails when hammer-heavy regresses more than 2x.
+regression factor — CI fails when any case regresses more than 2x.
 """
 
 from __future__ import annotations
@@ -434,6 +443,29 @@ def bench_campaign(quick: bool = False) -> Dict[str, Any]:
     }
 
 
+def bench_chaos_smoke(quick: bool = False) -> Dict[str, Any]:
+    """Armed chaos campaign throughput (segments/s), as ``repro chaos --smoke``."""
+    from repro.faults.scenarios import DEFAULT_SEGMENTS, run_chaos_campaign
+
+    segments = 3 if quick else DEFAULT_SEGMENTS
+    start = time.perf_counter()
+    report = run_chaos_campaign(1, num_segments=segments, smoke=True)
+    elapsed = time.perf_counter() - start
+    if report.failed or not report.retries:
+        raise ReproError(
+            f"chaos_smoke: expected every segment to complete after a "
+            f"dram-read-error retry, got {len(report.failed)} failed and "
+            f"{report.retries} retries"
+        )
+    return {
+        "ops": segments,
+        "elapsed_s": elapsed,
+        "ops_per_s": segments / elapsed if elapsed else 0.0,
+        "retries": report.retries,
+        "fault_totals": report.fault_totals(),
+    }
+
+
 #: Minimum warm-over-cold speedup the memoized campaign bench tolerates.
 #: A warm pass replays serialized outcomes instead of booting kernels and
 #: spraying pages, so the measured ratio is far higher; 5x is the
@@ -628,6 +660,7 @@ def run_bench_suite(quick: bool = False) -> Dict[str, Any]:
             "spray_batch": bench_spray_batch(quick=quick),
             "snapshot_warm_start": bench_snapshot_warm_start(quick=quick),
             "campaign": bench_campaign(quick=quick),
+            "chaos_smoke": bench_chaos_smoke(quick=quick),
             "campaign_memo_warm": bench_campaign_memo_warm(quick=quick),
             "service_multi_tenant_memo": bench_service_multi_tenant_memo(
                 quick=quick

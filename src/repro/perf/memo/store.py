@@ -43,6 +43,9 @@ DEFAULT_MEMORY_BUDGET = 64 * MIB
 _ENTRY_SUFFIX = ".json"
 _TMP_SUFFIX = ".tmp"
 
+#: Writes of one entry before a swept temp file is reported (see ``put``).
+_PUBLISH_ATTEMPTS = 3
+
 
 class InMemoryMemoStore:
     """Process-local LRU over serialized outcomes with a byte budget.
@@ -129,24 +132,33 @@ class DiskMemoStore:
 
     def put(self, digest: str, blob: bytes) -> None:
         path = self._path(digest)
-        if path.exists():
-            # Append-only: the existing bytes are identical by contract.
-            return
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, suffix=_TMP_SUFFIX
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, path)
-        except BaseException:
+        for attempt in range(_PUBLISH_ATTEMPTS):
+            if path.exists():
+                # Append-only: the existing bytes are identical by contract.
+                return
+            fd, tmp_name = tempfile.mkstemp(
+                dir=self.directory, suffix=_TMP_SUFFIX
+            )
             try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.entries += 1
-        self.total_bytes += len(blob)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(blob)
+                os.replace(tmp_name, path)
+            except FileNotFoundError:
+                # A store opened on this directory meanwhile (a pool
+                # worker rebuilding the memo) swept the temp file as a
+                # crash leftover before it was published: write it again.
+                if attempt + 1 == _PUBLISH_ATTEMPTS:
+                    raise
+                continue
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
+            self.entries += 1
+            self.total_bytes += len(blob)
+            return
 
     def stats(self) -> Dict[str, int]:
         """Fresh on-disk accounting (rescans the directory)."""

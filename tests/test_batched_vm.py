@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import faults, obs
-from repro.errors import OutOfMemoryError, PageFaultError
+from repro.errors import OutOfMemoryError, PageFaultError, TransientFaultError
 from repro.faults.injectors import FaultSpec
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.units import MIB, PAGE_SIZE
@@ -289,6 +289,123 @@ class TestArmedFaultPlaneFallback:
         explicit = run(slow_reference=True)
         assert auto == explicit
         assert sum(auto[2].values()) > 0, "schedule never fired; test is vacuous"
+
+
+def _read_error_plane():
+    """Two raising dram.read schedules: one delayed, both capped."""
+    return faults.install(
+        [
+            FaultSpec(
+                "dram-read-error", name="late", probability=0.05,
+                start_after=40, max_fires=3,
+            ),
+            FaultSpec("dram-read-error", name="early", probability=0.02, max_fires=4),
+        ],
+        seed=99,
+    )
+
+
+def _injector_states(plane):
+    return [
+        (inj._seen, inj.fires, inj._rng.bit_generator.state)
+        for inj in plane.injectors
+    ]
+
+
+def _drain(read_batch, addresses, owner):
+    """Read ``addresses`` through ``read_batch``, resuming after each error.
+
+    An injected error names the physical address it aborted; the read
+    resumes with the element after it. Returns the batches' results, the
+    aborted indices and the error messages.
+    """
+    results, raised, messages = [], [], []
+    start = 0
+    while start < len(addresses):
+        before = owner.read_count
+        try:
+            results.append(read_batch(addresses[start:]))
+            break
+        except TransientFaultError as exc:
+            # Reads before the aborted one completed and were counted.
+            index = start + owner.read_count - before
+            raised.append(index)
+            messages.append(str(exc))
+            start = index + 1
+    return results, raised, messages
+
+
+class TestArmedBatchedReads:
+    """``read_many`` / ``read_u64_many`` under an armed plane equal a loop."""
+
+    #: Aligned addresses over six rows, in both halves of the guest window
+    #: below; the byte-read variant adds row-straddling reads.
+    ADDRESSES = np.asarray(
+        [(7919 * i) % (6 * SMALL_ROW) & ~7 for i in range(400)], dtype=np.int64
+    )
+    STRADDLING = np.insert(ADDRESSES, [10, 200], [SMALL_ROW - 4, 3 * SMALL_ROW - 2])
+
+    def _module(self):
+        module = _kernel().module
+        for row in range(6):
+            module.fill_row(row, 0x10 + row)
+        module.write(SMALL_ROW - 4, b"straddle")
+        return module
+
+    def _compare(self, batched, looped, owner_of, addresses=ADDRESSES):
+        outcomes = []
+        for read_batch in (batched, looped):
+            module = self._module()
+            plane = _read_error_plane()
+            owner = owner_of(module)
+            outcome = _drain(read_batch(owner), addresses, module)
+            outcomes.append(
+                (outcome, module.read_count, owner.read_count, _injector_states(plane))
+            )
+            faults.uninstall()
+        assert outcomes[0][1:] == outcomes[1][1:]
+        (got_results, got_raised, got_messages) = outcomes[0][0]
+        (want_results, want_raised, want_messages) = outcomes[1][0]
+        assert got_raised == want_raised
+        assert got_messages == want_messages
+        assert [list(r) for r in got_results] == [list(r) for r in want_results]
+        assert len(got_raised) == 7, "both schedules must fire to their caps"
+        return got_raised, got_messages
+
+    def test_read_many_matches_read_loop(self):
+        self._compare(
+            lambda module: lambda a: module.read_many(a, 8),
+            lambda module: lambda a: [module.read(int(x), 8) for x in a],
+            lambda module: module,
+            self.STRADDLING,
+        )
+
+    def test_read_u64_many_matches_read_u64_loop(self):
+        self._compare(
+            lambda module: lambda a: module.read_u64_many(a),
+            lambda module: lambda a: [module.read_u64(int(x)) for x in a],
+            lambda module: module,
+        )
+
+    def test_guest_window_reports_host_addresses(self):
+        from repro.kernel.hypervisor import GuestPhysicalWindow
+
+        def window_of(module):
+            return GuestPhysicalWindow(
+                module, data_base=2 * SMALL_ROW, data_size=4 * SMALL_ROW,
+                ptp_base=16 * SMALL_ROW, ptp_size=4 * SMALL_ROW,
+            )
+
+        raised, messages = self._compare(
+            lambda window: lambda a: window.read_many(a, 8),
+            lambda window: lambda a: [window.read(int(x), 8) for x in a],
+            window_of,
+        )
+        window = window_of(self._module())
+        for index, message in zip(raised, messages):
+            guest = int(self.ADDRESSES[index])
+            assert message.endswith(f"PA {window.host_address(guest):#x}")
+            assert window.host_address(guest) != guest
 
 
 class TestBuddyFreeBlocksIncremental:

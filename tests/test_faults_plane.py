@@ -265,3 +265,67 @@ class TestPlaneFabric:
         plane.dispatch("tlb.invalidate", {})
         assert Reentrant.inner_results == [False]
         assert injector.fires == 1
+
+
+class TestBatchOffer:
+    """``fault_free_runs`` consumes events exactly like per-event notify."""
+
+    SPECS = (
+        "tlb-stale:p=0.01,name=a,after=70,max=5",
+        "tlb-stale:p=0.004,name=b",
+        "tlb-stale:p=1.0,name=c,after=333,max=2",
+        "tlb-stale:p=0.02,name=d,after=5000",
+    )
+
+    @staticmethod
+    def _state(plane):
+        return [
+            (inj._seen, inj.fires, inj._rng.bit_generator.state)
+            for inj in plane.injectors
+        ]
+
+    def _install(self):
+        plane = faults.install(list(self.SPECS), seed=11)
+        return plane
+
+    @pytest.mark.parametrize("batch", [1, 7, 64, 500, 3000])
+    def test_runs_match_per_event_notify(self, batch):
+        total = 3000
+        scalar = self._install()
+        want = [
+            index for index in range(total) if faults.notify("tlb.invalidate")
+        ]
+        want_state = self._state(scalar)
+        faults.uninstall()
+
+        batched = self._install()
+        got = []
+        for base in range(0, total, batch):
+            count = min(batch, total - base)
+            for _, stop in faults.fault_free_runs("tlb.invalidate", count):
+                if stop < count:
+                    assert faults.notify("tlb.invalidate")
+                    got.append(base + stop)
+        assert got == want
+        assert self._state(batched) == want_state
+        assert len(want) > 5, "schedules must fire for the test to mean much"
+
+    def test_unsubscribed_event_passes_without_draws(self):
+        plane = self._install()
+        before = self._state(plane)
+        assert list(faults.fault_free_runs("dram.read", 1000)) == [(0, 1000)]
+        assert self._state(plane) == before
+
+    def test_disarmed_plane_yields_one_run(self):
+        plane = self._install()
+        plane.disarm()
+        before = self._state(plane)
+        assert list(faults.fault_free_runs("tlb.invalidate", 50)) == [(0, 50)]
+        assert self._state(plane) == before
+
+    def test_offer_inside_dispatch_consumes_nothing(self):
+        plane = self._install()
+        before = self._state(plane)
+        plane._in_dispatch = True
+        assert plane.offer("tlb.invalidate", 40, {}) == 40
+        assert self._state(plane) == before

@@ -1,11 +1,17 @@
 """Hypervisor / VM support (Section 7)."""
 
+import numpy as np
 import pytest
 
 from repro.dram.cells import CellType, CellTypeMap
 from repro.dram.geometry import DramGeometry
 from repro.dram.module import DramModule
-from repro.errors import CapacityError, ConfigurationError, ZoneViolationError
+from repro.errors import (
+    AddressError,
+    CapacityError,
+    ConfigurationError,
+    ZoneViolationError,
+)
 from repro.kernel.hypervisor import GuestPhysicalWindow, Hypervisor
 from repro.units import MIB, PAGE_SHIFT, PAGE_SIZE
 
@@ -66,6 +72,80 @@ class TestGuestPhysicalWindow:
     def test_alignment_enforced(self, host_module):
         with pytest.raises(ConfigurationError):
             GuestPhysicalWindow(host_module, 100, 2 * MIB, 60 * MIB, MIB)
+
+
+def _window(host_module):
+    return GuestPhysicalWindow(
+        host_module, data_base=MIB, data_size=2 * MIB,
+        ptp_base=60 * MIB, ptp_size=MIB,
+    )
+
+
+#: Guest addresses in both halves of the window (data and PTP slice).
+GUEST_ADDRESSES = np.array([0x100, 5 * ROW + 64, 2 * MIB + 8, 2 * MIB + 3 * ROW])
+
+
+class TestGuestWindowBatchedPrimitives:
+    """The batched primitives act on host storage, like their scalar twins."""
+
+    def test_write_many_reaches_read_and_host(self, host_module):
+        window = _window(host_module)
+        window.write_many(GUEST_ADDRESSES, b"batched!")
+        for address in GUEST_ADDRESSES.tolist():
+            assert window.read(address, 8) == b"batched!"
+            assert host_module.read(window.host_address(address), 8) == b"batched!"
+        assert window.write_count == GUEST_ADDRESSES.size
+
+    def test_read_many_matches_read_loop(self, host_module):
+        window = _window(host_module)
+        for index, address in enumerate(GUEST_ADDRESSES.tolist()):
+            window.write(address, bytes([index + 1]) * 8)
+        before = window.read_count
+        assert window.read_many(GUEST_ADDRESSES, 8) == [
+            bytes([index + 1]) * 8 for index in range(GUEST_ADDRESSES.size)
+        ]
+        assert window.read_count - before == GUEST_ADDRESSES.size
+
+    def test_read_u64_many_matches_read_u64(self, host_module):
+        window = _window(host_module)
+        for index, address in enumerate(GUEST_ADDRESSES.tolist()):
+            window.write_u64(address, 0x1122334455667700 + index)
+        words = window.read_u64_many(GUEST_ADDRESSES)
+        assert words.tolist() == [
+            window.read_u64(address) for address in GUEST_ADDRESSES.tolist()
+        ]
+        assert words[0] == 0x1122334455667700
+
+    def test_snapshot_row_reads_host_row(self, host_module):
+        window = _window(host_module)
+        window.fill_row(3, 0xA5)
+        assert window.snapshot_row(3).tolist() == [0xA5] * ROW
+        ptp_row = 2 * MIB // ROW
+        window.write(2 * MIB, b"\x7f")
+        assert window.snapshot_row(ptp_row)[0] == 0x7F
+
+    def test_out_of_window_batch_raises_like_the_loop(self, host_module):
+        window = _window(host_module)
+        with pytest.raises(AddressError):
+            window.read_many(np.array([0, 3 * MIB]), 8)
+        assert window.read_count == 1
+
+    def test_guest_translate_many_matches_translate(self, hypervisor):
+        vm = hypervisor.create_guest(data_bytes=4 * MIB, ptp_bytes=MIB)
+        process = vm.kernel.create_process()
+        vma = vm.kernel.mmap(process, 8 * PAGE_SIZE)
+        addresses = [vma.start + page * PAGE_SIZE for page in range(8)]
+        for address in addresses:
+            vm.kernel.touch(process, address, write=True)
+        mmu = vm.kernel.mmu
+        scalar = [
+            mmu.translate(process.cr3, address, pid=process.pid, use_tlb=False)
+            for address in addresses
+        ]
+        batched = mmu.translate_many(
+            process.cr3, addresses, pid=process.pid, use_tlb=False
+        )
+        assert batched.tolist() == scalar
 
 
 class TestHypervisor:

@@ -10,6 +10,7 @@ import asyncio
 import dataclasses
 import json
 import multiprocessing
+import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -315,6 +316,30 @@ class TestDiskStore:
         assert reopened.get("b" * 16) is None
         assert not (tmp_path / ("b" * 16 + ".json")).exists()
         assert reopened.get("a" * 16) == b'{"ok": true}'
+
+    def test_put_survives_a_concurrent_open_sweeping_its_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        # Pool workers rebuild the memo around the shared directory for
+        # every task; opening it sweeps *.tmp files, including a live
+        # writer's, between its mkstemp and its os.replace.
+        from repro.perf.memo import store as store_module
+
+        store = DiskMemoStore(tmp_path)
+        real_replace = os.replace
+        opened = []
+
+        def replace_after_concurrent_open(src, dst):
+            if not opened:
+                opened.append(DiskMemoStore(tmp_path))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store_module.os, "replace", replace_after_concurrent_open)
+        store.put("d" * 16, b"published")
+        assert opened[0].recovered_partials == 1
+        assert store.get("d" * 16) == b"published"
+        assert store.stats()["entries"] == 1
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_append_only_put_is_idempotent(self, tmp_path):
         store = DiskMemoStore(tmp_path)

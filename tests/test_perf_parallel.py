@@ -17,8 +17,9 @@ from repro.dram.cells import CellTypeMap
 from repro.dram.geometry import DramGeometry
 from repro.dram.module import DramModule
 from repro.dram.rowhammer import FlipStatistics, RowHammerModel
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, TransientFaultError
 from repro.faults.injectors import FaultSpec
+from repro.kernel.hypervisor import GuestPhysicalWindow
 from repro.perf.bench import (
     bench_hammer_heavy,
     bench_walk_heavy,
@@ -37,17 +38,28 @@ from repro.units import MIB, PAGE_SHIFT, PAGE_SIZE
 from tests.conftest import make_stock_kernel
 
 
-def _hammer_model(slow_reference, seed=42):
+def _hammer_model(slow_reference, seed=42, activation=0.8, window=False):
+    """A seeded hammer over 48 patterned rows; returns (module, model).
+
+    With ``window`` the module is a guest window whose rows sit at host
+    rows 64 and up, so fault messages name host addresses above every
+    guest address.
+    """
     geometry = DramGeometry(total_bytes=8 * MIB, row_bytes=16 * 1024, num_banks=2)
     cell_map = CellTypeMap.interleaved(geometry, period_rows=8)
     module = DramModule(geometry, cell_map)
+    if window:
+        module = GuestPhysicalWindow(
+            module, data_base=64 * 16 * 1024, data_size=32 * 16 * 1024,
+            ptp_base=128 * 16 * 1024, ptp_size=32 * 16 * 1024,
+        )
     for row in range(48):
         module.fill_row(row, 0xFF if row % 2 else 0x5A)
     model = RowHammerModel(
         module,
         stats=FlipStatistics(p_vulnerable=2e-2, p_with_leak=0.7),
         seed=seed,
-        activation_probability=0.8,
+        activation_probability=activation,
         slow_reference=slow_reference,
     )
     return module, model
@@ -82,24 +94,85 @@ class TestHammerEquivalence:
                 module_ref.read(row * 16 * 1024, 16 * 1024)
             )
 
-    def test_armed_fault_plane_forces_scalar_path(self):
-        # With the plane armed, per-read fault schedules must replay, so
-        # the model routes through the scalar reference — both configs
-        # observe the same dram.read fault stream and stay identical.
+    @pytest.mark.parametrize(
+        "activation, window, raising",
+        [
+            (1.0, False, True),
+            (0.8, False, True),
+            (0.8, True, True),
+            (0.8, False, False),
+        ],
+        ids=["activation-1.0", "activation-0.8", "guest-window", "non-raising"],
+    )
+    def test_vectorized_matches_scalar_under_firing_faults(
+        self, activation, window, raising
+    ):
+        # Two dram.read schedules fire mid-hammer (one delayed by
+        # start_after, both capped); the caller catches each injected
+        # error and keeps hammering. The vectorized disturb must replay
+        # the scalar oracle's flips, errors and stream positions exactly.
         def run(slow_reference):
-            faults.set_plane(faults.FaultPlane())
-            faults.install(
-                [FaultSpec("dram-read-error", probability=1e-9, max_fires=1)],
+            plane = faults.install(
+                [
+                    FaultSpec(
+                        "dram-read-error", name="late", probability=2e-4,
+                        start_after=50, max_fires=6,
+                    ),
+                    FaultSpec(
+                        "dram-read-error", name="early", probability=2e-4,
+                        max_fires=4,
+                    ),
+                ],
                 seed=7,
             )
+            if not raising:
+                for injector in plane.injectors:
+                    injector.fire = lambda event, ctx: False
             obs.set_registry(obs.Registry())
-            _, model = _hammer_model(slow_reference=slow_reference)
-            try:
-                return _run_hammer_burst(model)
-            finally:
-                faults.uninstall()
+            module, model = _hammer_model(
+                slow_reference, activation=activation, window=window
+            )
+            flips, errors = [], []
+            for burst in range(8):
+                for row in (2 + burst * 4, 3 + burst * 4):
+                    try:
+                        flips.extend(model.hammer(row).flips)
+                    except TransientFaultError as exc:
+                        errors.append(str(exc))
+            faults.uninstall()
+            injectors = [
+                (inj._seen, inj.fires, inj._rng.bit_generator.state)
+                for inj in plane.injectors
+            ]
+            rows = [
+                module.read(row * 16 * 1024, 16 * 1024) for row in range(48)
+            ]
+            return (
+                flips,
+                errors,
+                model._rng.bit_generator.state,
+                injectors,
+                obs.get_registry().snapshot(),
+                rows,
+            )
 
-        assert run(False) == run(True)
+        vectorized, scalar = run(False), run(True)
+        for got, want in zip(vectorized, scalar):
+            assert got == want
+        flips, errors, _, injectors, snapshot, _ = vectorized
+        assert flips
+        assert [fires for _, fires, _ in injectors] == [6, 4]
+        if raising:
+            assert len(errors) == 10
+            if window:
+                assert all(
+                    int(error.rsplit(" ", 1)[-1], 16) >= 64 * 16 * 1024
+                    for error in errors
+                )
+        else:
+            assert errors == []
+            fired = "faults.injected{event=dram.read,fault=late}"
+            assert snapshot[fired] == 6
 
     def test_obs_flip_totals_match_flip_list(self):
         _, model = _hammer_model(slow_reference=False)
@@ -348,8 +421,8 @@ class TestBenchSuite:
         assert set(report["results"]) == {
             "hammer_heavy", "walk_heavy", "walk_frontier", "walk_batch",
             "live_boot_multigb", "spray_batch", "snapshot_warm_start",
-            "campaign", "campaign_memo_warm", "service_multi_tenant_memo",
-            "payload_compiled",
+            "campaign", "chaos_smoke", "campaign_memo_warm",
+            "service_multi_tenant_memo", "payload_compiled",
         }
         passing = {
             case: {"ops_per_s": result["ops_per_s"] / 2}
