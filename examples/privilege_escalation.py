@@ -48,7 +48,7 @@ def main(seed: int = 1) -> None:
     for row in victim_rows * 3:  # up to three passes
         outcome = hammer.hammer(row)
         flips += outcome.flip_count
-        if not outcome.flips:
+        if not outcome.flip_count:
             continue
         kernel.tlb.flush()
         references = find_self_references(kernel, attacker, attack.checked_vas)

@@ -136,7 +136,7 @@ class ProbabilisticPteAttack:
                 result.hammer_rounds += 1
                 result.flips_induced += outcome.flip_count
                 result.modeled_time_s += self.timing.hammer_row_s
-                if not outcome.flips:
+                if not outcome.flip_count:
                     continue
                 self.kernel.tlb.flush()
                 references = find_self_references(self.kernel, attacker, self.checked_vas)

@@ -228,15 +228,17 @@ class TemplatingAttack:
         program = hammer_sweep("templating-template", sorted(owned_rows))
         self.executed_payloads.append(program)
         context = PayloadContext(hammer=self.hammer)
+        owned = np.fromiter(owned_pfns, dtype=np.int64, count=len(owned_pfns))
         for burst in iter_steps(compile_program(program), context):
             outcome = burst.perform()
             row = burst.row
             result.hammer_rounds += 1
             result.modeled_time_s += self.timing.hammer_row_s
-            for flip in outcome.flips:
+            flips = outcome.flips
+            # Flips outside attacker pages are unusable.
+            usable = flips.select(np.isin(flips.address >> PAGE_SHIFT, owned))
+            for flip in usable:
                 pfn = flip.address >> PAGE_SHIFT
-                if pfn not in owned_pfns:
-                    continue  # flip landed outside attacker pages: unusable
                 templates.append(
                     FlipTemplate(
                         row=geometry.row_of_address(flip.address),

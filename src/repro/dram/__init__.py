@@ -17,7 +17,7 @@ from repro.dram.module import DramModule
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.remap import RowRemapper
 from repro.dram.retention import RetentionModel
-from repro.dram.rowhammer import FlipStatistics, HammerOutcome, RowHammerModel
+from repro.dram.rowhammer import FlipBatch, FlipStatistics, HammerOutcome, RowHammerModel
 from repro.dram.profiler import CellTypeProfiler
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "DramModule",
     "EccWordStore",
     "SecdedCodec",
+    "FlipBatch",
     "FlipStatistics",
     "HammerOutcome",
     "RefreshScheduler",

@@ -86,7 +86,7 @@ class DramModule:
         this is the quantity that bounds real memory use — geometry rows
         never written stay virtual and cost nothing.
         """
-        return len(self._rows)
+        return self.materialized_rows
 
     @property
     def generation(self) -> int:

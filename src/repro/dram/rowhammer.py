@@ -20,7 +20,7 @@ current value matches its flip source changes to its flip target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,13 +80,102 @@ class BitFlip:
         return (self.old, self.new)
 
 
+class FlipBatch:
+    """The flips of one hammer as parallel columns, in flip order.
+
+    ``address`` (int64) is the absolute byte address, ``bit`` the bit in
+    that byte, ``old``/``new`` (uint8) the values before and after. A
+    hammer induces tens of thousands of flips at the Section 5 rates, so
+    they stay in numpy arrays; iterating yields :class:`BitFlip` views.
+    Batches compare by value, dtypes included. Every flip-free hammer
+    shares :meth:`empty`.
+    """
+
+    __slots__ = ("address", "bit", "old", "new")
+
+    def __init__(
+        self, address: np.ndarray, bit: np.ndarray, old: np.ndarray, new: np.ndarray
+    ):
+        self.address = address
+        self.bit = bit
+        self.old = old
+        self.new = new
+
+    @classmethod
+    def empty(cls) -> "FlipBatch":
+        """The shared flip-free batch."""
+        return _NO_FLIPS
+
+    @classmethod
+    def from_columns(
+        cls,
+        address: Sequence[int],
+        bit: Sequence[int],
+        old: Sequence[int],
+        new: Sequence[int],
+    ) -> "FlipBatch":
+        """A batch from per-flip Python sequences (the scalar oracle's form)."""
+        if not len(address):
+            return _NO_FLIPS
+        return cls(
+            np.array(address, dtype=np.int64),
+            np.array(bit, dtype=np.uint8),
+            np.array(old, dtype=np.uint8),
+            np.array(new, dtype=np.uint8),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["FlipBatch"]) -> "FlipBatch":
+        """The parts' flips one after another."""
+        if not parts:
+            return _NO_FLIPS
+        if len(parts) == 1:
+            return parts[0]
+        return cls(*(np.concatenate(column) for column in zip(*(p.columns for p in parts))))
+
+    @property
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(address, bit, old, new)``."""
+        return (self.address, self.bit, self.old, self.new)
+
+    def select(self, mask: np.ndarray) -> "FlipBatch":
+        """The flips where boolean ``mask`` is set, in their order."""
+        return FlipBatch(*(column[mask] for column in self.columns))
+
+    def __len__(self) -> int:
+        return int(self.address.size)
+
+    def __iter__(self) -> Iterator[BitFlip]:
+        for address, bit, old, new in zip(*(column.tolist() for column in self.columns)):
+            yield BitFlip(address=address, bit=bit, old=old, new=new)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FlipBatch):
+            return NotImplemented
+        return all(
+            mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+            for mine, theirs in zip(self.columns, other.columns)
+        )
+
+    def __repr__(self) -> str:
+        return f"FlipBatch({len(self)} flips)"
+
+
+_NO_FLIPS = FlipBatch(
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0, dtype=np.uint8),
+    np.zeros(0, dtype=np.uint8),
+    np.zeros(0, dtype=np.uint8),
+)
+
+
 @dataclass
 class HammerOutcome:
     """Result of hammering one aggressor row."""
 
     aggressor_row: int
     victim_rows: Tuple[int, ...]
-    flips: List[BitFlip] = field(default_factory=list)
+    flips: FlipBatch = field(default_factory=FlipBatch.empty)
     activations: int = 0
 
     @property
@@ -97,7 +186,8 @@ class HammerOutcome:
     def flips_in_row(self, row: int, row_bytes: int) -> List[BitFlip]:
         """Flips landing in global row ``row``."""
         base = row * row_bytes
-        return [f for f in self.flips if base <= f.address < base + row_bytes]
+        address = self.flips.address
+        return list(self.flips.select((address >= base) & (address < base + row_bytes)))
 
 
 @dataclass(frozen=True)
@@ -203,14 +293,18 @@ class RowHammerModel:
     def seed_vulnerable_bits(self, row: int, bits: Sequence[Tuple[int, int, int]]) -> None:
         """Override the vulnerable-bit map of ``row`` (testing hook).
 
-        ``bits`` is a sequence of ``(bit_position, from_value, to_value)``.
+        ``bits`` is a sequence of ``(bit_position, from_value, to_value)``;
+        each bit flips ``0 -> 1`` or ``1 -> 0``.
         """
-        self._vulnerable[row] = tuple(
+        frozen = tuple(
             sorted(
                 (_VulnerableBit(int(p), int(f), int(t)) for p, f, t in bits),
                 key=lambda b: b.bit_position,
             )
         )
+        if any((b.from_value, b.to_value) not in ((0, 1), (1, 0)) for b in frozen):
+            raise ConfigurationError("a vulnerable bit must flip 0 -> 1 or 1 -> 0")
+        self._vulnerable[row] = frozen
         self._vulnerable_arrays.pop(row, None)
 
     def _vulnerable_row_arrays(
@@ -292,27 +386,30 @@ class RowHammerModel:
         self.hammer_count += 1
         obs.inc("rowhammer.hammers")
         obs.inc("rowhammer.activations", activations)
-        outcome = HammerOutcome(
-            aggressor_row=aggressor_row, victim_rows=victims, activations=activations
-        )
         if self._slow_reference:
-            self._disturb_scalar(outcome, victims)
+            flips = self._disturb_scalar(victims)
         else:
-            self._disturb_vectorized(outcome, victims)
-        obs.observe("rowhammer.flips_per_hammer", outcome.flip_count)
+            flips = self._disturb_vectorized(victims)
+        outcome = HammerOutcome(aggressor_row, victims, flips, activations)
+        flip_count = len(flips)
+        obs.observe("rowhammer.flips_per_hammer", flip_count)
         obs.trace(
             "rowhammer.hammer",
             aggressor=aggressor_row,
             victims=len(victims),
-            flips=outcome.flip_count,
+            flips=flip_count,
             activations=activations,
         )
         sanitize.notify("rowhammer.hammer", hammer=self, module=self._module, outcome=outcome)
         return outcome
 
-    def _disturb_scalar(self, outcome: HammerOutcome, victims: Tuple[int, ...]) -> None:
+    def _disturb_scalar(self, victims: Tuple[int, ...]) -> FlipBatch:
         """Per-bit reference oracle (one ``dram.read`` hook per access)."""
         row_bytes = self._module.geometry.row_bytes
+        addresses: List[int] = []
+        bits: List[int] = []
+        old_values: List[int] = []
+        new_values: List[int] = []
         for victim in victims:
             base = victim * row_bytes
             cell = self._module.cell_map.type_of_row(victim).value
@@ -325,18 +422,18 @@ class RowHammerModel:
                 current = self._module.read_bit(address, bit)  # repro-lint: ignore[RL007] — reference path
                 if current == vuln.from_value:
                     self._module.write_bit(address, bit, vuln.to_value)  # repro-lint: ignore[RL007] — reference path
-                    outcome.flips.append(
-                        BitFlip(address=address, bit=bit, old=current, new=vuln.to_value)
-                    )
+                    addresses.append(address)
+                    bits.append(bit)
+                    old_values.append(current)
+                    new_values.append(vuln.to_value)
                     obs.inc(  # repro-lint: ignore[RL007] — reference path
                         "rowhammer.flips",
                         direction=f"{current}to{vuln.to_value}",
                         cell=cell,
                     )
+        return FlipBatch.from_columns(addresses, bits, old_values, new_values)
 
-    def _disturb_vectorized(
-        self, outcome: HammerOutcome, victims: Tuple[int, ...]
-    ) -> None:
+    def _disturb_vectorized(self, victims: Tuple[int, ...]) -> FlipBatch:
         """Batched disturb: one masked compare + one flip write per victim row.
 
         Consumes the RNG stream exactly like :meth:`_disturb_scalar` (one
@@ -348,6 +445,7 @@ class RowHammerModel:
         """
         module = self._module
         probability = self._activation_probability
+        parts: List[FlipBatch] = []
         flip_totals: Dict[Tuple[str, str], int] = {}
         for victim in victims:
             arrays = self._vulnerable_row_arrays(victim)
@@ -365,14 +463,15 @@ class RowHammerModel:
                 flip_mask &= active
             if armed:
                 self._offer_row_reads(
-                    outcome, victim, arrays, flip_mask, active, undo, flip_totals
+                    parts, victim, arrays, flip_mask, active, undo, flip_totals
                 )
-            self._apply_flips(outcome, victim, arrays, flip_mask, flip_totals)
+            self._apply_flips(parts, victim, arrays, flip_mask, flip_totals)
         self._count_flips(flip_totals)
+        return FlipBatch.concat(parts)
 
     def _offer_row_reads(
         self,
-        outcome: HammerOutcome,
+        parts: List[FlipBatch],
         victim: int,
         arrays: Tuple[np.ndarray, np.ndarray, np.ndarray],
         flip_mask: np.ndarray,
@@ -402,7 +501,7 @@ class RowHammerModel:
             hit = int(activated[stop])
             before = flip_mask.copy()
             before[hit:] = False
-            self._apply_flips(outcome, victim, arrays, before, flip_totals)
+            self._apply_flips(parts, victim, arrays, before, flip_totals)
             flip_mask[:hit] = False
             self._count_flips(flip_totals)
             self._read_firing_bit(victim, int(positions[hit]), undo, hit + 1)
@@ -429,30 +528,38 @@ class RowHammerModel:
 
     def _apply_flips(
         self,
-        outcome: HammerOutcome,
+        parts: List[FlipBatch],
         victim: int,
         arrays: Tuple[np.ndarray, np.ndarray, np.ndarray],
         flip_mask: np.ndarray,
         flip_totals: Dict[Tuple[str, str], int],
     ) -> None:
-        """Flip the masked bits of ``victim``; record them and tally counts."""
+        """Flip the masked bits of ``victim``; append their batch to ``parts``.
+
+        Also tallies them per ``(direction, cell)`` series in ``flip_totals``.
+        """
         if not flip_mask.any():
             return
         positions, from_values, to_values = arrays
         module = self._module
         flip_positions = positions[flip_mask]
-        flip_targets = to_values[flip_mask]
-        module.apply_bit_flips(victim, flip_positions, flip_targets)
-        base = victim * module.geometry.row_bytes
+        old_values = from_values[flip_mask]
+        new_values = to_values[flip_mask]
+        module.apply_bit_flips(victim, flip_positions, new_values)
+        parts.append(
+            FlipBatch(
+                victim * module.geometry.row_bytes + (flip_positions >> 3),
+                (flip_positions & 7).astype(np.uint8),
+                old_values,
+                new_values,
+            )
+        )
         cell = module.cell_map.type_of_row(victim).value
-        addresses = (base + (flip_positions >> 3)).tolist()
-        bits = (flip_positions & 7).tolist()
-        old_values = from_values[flip_mask].tolist()
-        new_values = flip_targets.tolist()
-        for address, bit, old, new in zip(addresses, bits, old_values, new_values):
-            outcome.flips.append(BitFlip(address=address, bit=bit, old=old, new=new))
-            key = (f"{old}to{new}", cell)
-            flip_totals[key] = flip_totals.get(key, 0) + 1
+        rising = int(np.count_nonzero(new_values))  # every flip is 0->1 or 1->0
+        for direction, count in (("0to1", rising), ("1to0", new_values.size - rising)):
+            if count:
+                key = (direction, cell)
+                flip_totals[key] = flip_totals.get(key, 0) + count
 
     @staticmethod
     def _count_flips(flip_totals: Dict[Tuple[str, str], int]) -> None:

@@ -144,6 +144,27 @@ class GuestPhysicalWindow(DramModule):
         """Host generation — the window aliases host storage."""
         return self._host.generation
 
+    @property
+    def materialized_rows(self) -> int:
+        """Host rows inside the window that are backed by real arrays."""
+        row_bytes = self.geometry.row_bytes
+        spans = [
+            (base // row_bytes, (base + size) // row_bytes)
+            for base, size in (
+                (self._data_base, self._data_size),
+                (self._ptp_base, self._ptp_size),
+            )
+        ]
+        return sum(
+            1
+            for row in self._host._rows
+            if any(first <= row < stop for first, stop in spans)
+        )
+
+    def forget_row(self, row: int) -> None:
+        """Drop the backing host row (its content reverts to the host fill byte)."""
+        self._host.forget_row(self._host_row(row))
+
     def write_bit(self, address: int, bit: int, value: int) -> None:
         """Set one bit via the host backing array."""
         self.geometry.check_address(address, 1)

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.dram.cells import CellType
 from repro.errors import KernelError, ZoneViolationError
@@ -245,9 +247,24 @@ class MonotonicPointerSanitizer(Sanitizer):
                 event,
             )
             return
-        outcome = ctx["outcome"]
-        for flip in outcome.flips:  # type: ignore[attr-defined]
-            self._check_flip(flip.address, flip.bit, flip.old, flip.new, event)
+        # Only upward flips into page-table frames can violate; select them
+        # (one page-table lookup per distinct frame), then check each in
+        # flip order, since a check reads DRAM (a fault event) and may raise.
+        flips = ctx["outcome"].flips  # type: ignore[attr-defined]
+        upward = np.flatnonzero(flips.new > flips.old)
+        if upward.size == 0:
+            return
+        pfns = flips.address[upward] >> PAGE_SHIFT
+        table_pfns = [
+            pfn for pfn in np.unique(pfns).tolist() if self._kernel.is_page_table_pfn(pfn)
+        ]
+        if not table_pfns:
+            return
+        suspects = upward[np.isin(pfns, table_pfns)]
+        for address, bit, old, new in zip(
+            *(column[suspects].tolist() for column in flips.columns)
+        ):
+            self._check_flip(address, bit, old, new, event)
 
     def _check_flip(
         self, address: int, bit: int, old: int, new: int, event: str

@@ -1,20 +1,27 @@
 """Statistical RowHammer model."""
 
+import numpy as np
 import pytest
 
 from repro.dram.cells import CellType, CellTypeMap
 from repro.dram.geometry import DramGeometry
 from repro.dram.module import DramModule
-from repro.dram.rowhammer import FlipStatistics, RowHammerModel
+from repro.dram.rowhammer import BitFlip, FlipBatch, FlipStatistics, RowHammerModel
 from repro.errors import ConfigurationError
 from repro.units import MIB
+
+ROW_BYTES = 16 * 1024
+
+
+def _module():
+    geometry = DramGeometry(total_bytes=4 * MIB, row_bytes=ROW_BYTES, num_banks=2)
+    cell_map = CellTypeMap.interleaved(geometry, period_rows=8)
+    return DramModule(geometry, cell_map)
 
 
 @pytest.fixture
 def hammer_module():
-    geometry = DramGeometry(total_bytes=4 * MIB, row_bytes=16 * 1024, num_banks=2)
-    cell_map = CellTypeMap.interleaved(geometry, period_rows=8)
-    return DramModule(geometry, cell_map)
+    return _module()
 
 
 class TestFlipStatistics:
@@ -74,6 +81,8 @@ class TestVulnerableBits:
         model.seed_vulnerable_bits(4, [(100, 1, 0), (7, 0, 1)])
         bits = model.vulnerable_bits(4)
         assert [b.bit_position for b in bits] == [7, 100]
+        with pytest.raises(ConfigurationError):
+            model.seed_vulnerable_bits(4, [(3, 1, 1)])
 
     def test_requires_cell_map(self):
         geometry = DramGeometry(total_bytes=1 * MIB, row_bytes=16 * 1024, num_banks=1)
@@ -166,3 +175,64 @@ class TestHammer:
             RowHammerModel(hammer_module, activation_probability=0.0)
         with pytest.raises(ConfigurationError):
             RowHammerModel(hammer_module, refresh_rate_multiplier=0.5)
+
+
+class TestFlipBatch:
+    @staticmethod
+    def _outcomes(slow_reference):
+        module = _module()
+        for row in range(24):
+            module.fill_row(row, 0xFF if row % 2 else 0x5A)
+        model = RowHammerModel(
+            module,
+            FlipStatistics(p_vulnerable=2e-2, p_with_leak=0.7),
+            seed=9,
+            activation_probability=0.8,
+            slow_reference=slow_reference,
+        )
+        return [model.hammer(row) for row in (3, 8, 13)] + [
+            model.hammer_double_sided(18)
+        ]
+
+    def test_vectorized_equals_scalar_oracle_dtypes_included(self):
+        vectorized, scalar = self._outcomes(False), self._outcomes(True)
+        assert vectorized == scalar
+        assert all(outcome.flip_count for outcome in vectorized)
+        for outcome in vectorized + scalar:
+            flips = outcome.flips
+            assert flips.address.dtype == np.int64
+            assert flips.bit.dtype == flips.old.dtype == flips.new.dtype == np.uint8
+
+    def test_value_equality_sees_dtype(self):
+        flips = self._outcomes(False)[0].flips
+        columns = (flips.address, flips.bit, flips.old, flips.new)
+        assert flips == FlipBatch(*(column.copy() for column in columns))
+        widened = FlipBatch(flips.address, flips.bit.astype(np.int64), flips.old, flips.new)
+        assert flips != widened
+
+    def test_iteration_yields_the_oracles_bitflips(self):
+        vectorized, scalar = self._outcomes(False), self._outcomes(True)
+        got = [flip for outcome in vectorized for flip in outcome.flips]
+        want = [flip for outcome in scalar for flip in outcome.flips]
+        assert got == want
+        assert all(type(flip) is BitFlip for flip in got)
+        assert all(type(flip.address) is int for flip in got)
+
+    def test_flips_in_row_filters_in_flip_order(self):
+        outcome = self._outcomes(False)[0]
+        for row in outcome.victim_rows:
+            base = row * ROW_BYTES
+            expected = [f for f in outcome.flips if base <= f.address < base + ROW_BYTES]
+            assert expected
+            assert outcome.flips_in_row(row, ROW_BYTES) == expected
+        assert outcome.flips_in_row(outcome.aggressor_row, ROW_BYTES) == []
+
+    @pytest.mark.parametrize("slow_reference", [False, True])
+    def test_flip_free_hammer_shares_the_empty_batch(self, slow_reference):
+        model = RowHammerModel(
+            _module(), FlipStatistics(p_vulnerable=0.0), seed=1,
+            slow_reference=slow_reference,
+        )
+        first, second = model.hammer(4), model.hammer_double_sided(9)
+        assert first.flips is second.flips is FlipBatch.empty()
+        assert first.flip_count == 0 and list(first.flips) == []

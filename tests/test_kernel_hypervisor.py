@@ -124,6 +124,19 @@ class TestGuestWindowBatchedPrimitives:
         window.write(2 * MIB, b"\x7f")
         assert window.snapshot_row(ptp_row)[0] == 0x7F
 
+    def test_row_residency_is_the_hosts(self, host_module):
+        window = _window(host_module)
+        ptp_row = 2 * MIB // ROW
+        host_module.write(0, b"host")  # below the window
+        window.write(0, b"guest")
+        window.write(ptp_row * ROW, b"table")
+        assert window.resident_rows == window.materialized_rows == 2
+        assert host_module.resident_rows == 3
+        window.forget_row(0)
+        assert window.read(0, 5) == bytes(5)
+        assert window.resident_rows == 1
+        assert host_module.resident_rows == 2
+
     def test_out_of_window_batch_raises_like_the_loop(self, host_module):
         window = _window(host_module)
         with pytest.raises(AddressError):

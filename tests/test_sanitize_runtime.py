@@ -8,7 +8,12 @@ bypassed defense) would, and asserts the matching checker raises
 import pytest
 
 from repro import obs, sanitize
-from repro.dram.rowhammer import FlipStatistics, RowHammerModel
+from repro.dram.rowhammer import (
+    FlipBatch,
+    FlipStatistics,
+    HammerOutcome,
+    RowHammerModel,
+)
 from repro.errors import SanitizerError
 from repro.kernel.buddy import BuddyAllocator
 from repro.kernel.gfp import GFP_KERNEL
@@ -23,6 +28,7 @@ from repro.sanitize.checkers import (
 from repro.units import PAGE_SHIFT, PAGE_SIZE, PTE_SIZE
 
 from tests.conftest import make_cta_kernel, make_stock_kernel
+from tests.test_kernel_degrade import drain_zone_ptp, make_kernel
 
 
 def _register(checker):
@@ -231,6 +237,68 @@ class TestMonotonicPointerInjection:
         pa = kernel.touch(process, vma.start, write=True)
         kernel.module.flip_bit(pa, 0)  # user-data frame: any direction is fine
         assert suite.violations == 0
+
+    def test_batched_hammer_check_matches_per_flip_loop(self):
+        # One outcome mixing upward flips in a data frame, in a
+        # screened-fallback (downgraded) page table, and in ZONE_PTP
+        # tables (flag and PFN bits, plus one downward flip): the batched
+        # check must acknowledge, read DRAM and raise exactly like
+        # checking the flips one by one.
+        kernel = make_kernel("screened-fallback")
+        process = kernel.create_process()
+        vma = kernel.mmap(process, PAGE_SIZE)
+        data_pa = kernel.touch(process, vma.start, write=True)
+        drain_zone_ptp(kernel)
+        downgraded = kernel.pte_alloc_one(process.pid, 1)
+        assert downgraded in kernel.downgraded_pt_pfns
+        tables = [
+            pfn for pfn in kernel.page_table_pfns(process.pid) if pfn != downgraded
+        ]
+        assert len(tables) >= 2
+
+        def pte_bit(pfn, entry, word_bit, old=0, new=1):
+            address = (pfn << PAGE_SHIFT) + entry * PTE_SIZE + word_bit // 8
+            return address, word_bit % 8, old, new
+
+        flips = [
+            (data_pa, 0, 0, 1),
+            pte_bit(downgraded, 0, 20),
+            pte_bit(tables[0], 3, 1),  # flag bit: the pointer does not move
+            pte_bit(tables[0], 4, 25, old=1, new=0),
+            pte_bit(downgraded, 5, 30),
+            pte_bit(tables[1], 7, 40),  # the first violation
+            pte_bit(tables[0], 9, 13),
+            (data_pa + 64, 3, 0, 1),
+        ]
+        outcome = HammerOutcome(
+            aggressor_row=0,
+            victim_rows=(),
+            flips=FlipBatch.from_columns(*zip(*flips)),
+        )
+        checker = MonotonicPointerSanitizer(kernel)
+
+        def run(check):
+            obs.set_registry(obs.Registry())
+            reads = kernel.module.read_count
+            with pytest.raises(SanitizerError, match="monotonicity") as excinfo:
+                check()
+            acknowledged = obs.counter("sanitize.acknowledged_downgrades").total()
+            return str(excinfo.value), acknowledged, kernel.module.read_count - reads
+
+        def per_flip():
+            for flip in iter(outcome.flips):
+                checker._check_flip(
+                    flip.address, flip.bit, flip.old, flip.new, "rowhammer.hammer"
+                )
+
+        batched = run(
+            lambda: checker.handle(
+                "rowhammer.hammer", {"module": kernel.module, "outcome": outcome}
+            )
+        )
+        assert batched == run(per_flip)
+        assert batched[1:] == (2, 1)
+        assert f"PA {(tables[1] << PAGE_SHIFT) + 7 * PTE_SIZE + 5:#x}" in batched[0]
 
 
 class TestNoSelfReferenceInjection:
